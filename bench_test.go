@@ -496,8 +496,8 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("batched-%d", size), func(b *testing.B) {
 			f, names, frames := benchFleet(b, size)
-			// Fusion has a cache sweet spot: past ~16 frames the stacked
-			// im2col matrix outgrows L2 and the wide pass slows down, so the
+			// Fusion has a cache sweet spot: past ~16 frames the batch's
+			// activation tensors outgrow L2 and the wide pass slows down, so the
 			// planner is capped there and large fleets run as several fused
 			// groups overlapping across the workers. Below the cap a window
 			// may fuse several queued rounds of the same instances (the

@@ -22,8 +22,10 @@ func buildBareAndInstance(t testing.TB) (*perception.Pipeline, *Instance) {
 // TestInstanceDetectZeroAllocOverhead pins the per-instance detect hot
 // path with no observer installed: the Instance wrapper (atomic observer
 // load + per-instance lock) must add zero allocations over the bare
-// pipeline. The forward pass itself allocates (layer outputs), so the
-// assertion is on the delta, not on zero.
+// pipeline. After the first frame the layers write into buffers they own,
+// but the pipeline still allocates a few small objects per frame
+// (Flatten's view, the softmax probabilities), so the assertion is on the
+// delta, not on zero.
 func TestInstanceDetectZeroAllocOverhead(t *testing.T) {
 	pipe, inst := buildBareAndInstance(t)
 	frame := testFrame()

@@ -18,6 +18,7 @@ package ingest
 // exactly the StatusShed deliveries per class.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -214,11 +215,12 @@ func (s *Server) acceptLoop() {
 // server tears it down.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
-	sc, ok := s.handshake(c)
+	br := bufio.NewReader(c)
+	sc, ok := s.handshake(c, br)
 	if !ok {
 		return
 	}
-	s.readFrames(sc)
+	s.readFrames(sc, br)
 	sc.teardown()
 	// The writer owns the socket close (it must flush queued results
 	// first); the reader only unregisters and releases admission.
@@ -236,13 +238,14 @@ func (s *Server) rejectAndClose(c net.Conn, reason Reason, text string) {
 }
 
 // handshake performs HELLO → WELCOME/REJECT and registers the
-// connection. ok=false means the socket is already closed.
-func (s *Server) handshake(c net.Conn) (*serverConn, bool) {
+// connection, reading through br, the connection's one buffered reader.
+// ok=false means the socket is already closed.
+func (s *Server) handshake(c net.Conn, br *bufio.Reader) (*serverConn, bool) {
 	if err := c.SetReadDeadline(now().Add(s.cfg.IdleTimeout)); err != nil {
 		_ = c.Close() //lint:allow(errdrop) socket already unusable
 		return nil, false
 	}
-	m, err := ReadMessage(c, s.cfg.MaxPayload)
+	m, err := ReadMessage(br, s.cfg.MaxPayload)
 	if err != nil || m.Type != TypeHello {
 		s.rejectAndClose(c, ReasonProtocol, "expected HELLO")
 		return nil, false
@@ -288,13 +291,20 @@ func (s *Server) dropConn(sc *serverConn) {
 	s.obs.SetIngestConnections(s.adm.Conns())
 }
 
-// readFrames is the per-connection frame loop.
-func (s *Server) readFrames(sc *serverConn) {
+// maxKeptPayload bounds the payload buffer a connection keeps between
+// messages; a rarer, larger message gets a one-off buffer.
+const maxKeptPayload = 64 << 10
+
+// readFrames is the per-connection frame loop. It reads through br, so one
+// read syscall can bring in several frames, and decodes every payload from
+// one reused buffer: DecodeMessage copies out everything it keeps.
+func (s *Server) readFrames(sc *serverConn, br *bufio.Reader) {
+	var kept []byte
 	for {
 		if err := sc.c.SetReadDeadline(now().Add(s.cfg.IdleTimeout)); err != nil {
 			return
 		}
-		payload, err := ReadPayload(sc.c, s.cfg.MaxPayload)
+		payload, err := ReadPayload(br, kept, s.cfg.MaxPayload)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				s.obs.ObserveIngestRejected(ReasonTooLarge.String())
@@ -303,6 +313,9 @@ func (s *Server) readFrames(sc *serverConn) {
 			// EOF, idle deadline, teardown kick, or an oversized claim:
 			// the stream is unrecoverable past a bad length prefix.
 			return
+		}
+		if cap(payload) <= maxKeptPayload {
+			kept = payload
 		}
 		if s.cfg.Injector != nil {
 			drop, stall := s.cfg.Injector.OnWire(sc.vehicle, payload)
@@ -564,12 +577,31 @@ func (sc *serverConn) teardown() {
 	})
 }
 
-// write sends one message with the write deadline armed.
-func (sc *serverConn) write(m *Message) bool {
-	if err := sc.c.SetWriteDeadline(now().Add(sc.srv.cfg.WriteTimeout)); err != nil {
-		return false
+// writeBatch encodes m and every message already waiting on out into buf
+// and sends them with one Write under the write deadline, so a burst of
+// results costs one syscall rather than one each, and nothing waits for
+// more to arrive. It returns buf for reuse; false means the connection is
+// unusable (an encode or write failure), and messages after the failing
+// one are not sent. out holds at most 256 messages of a few hundred bytes,
+// which bounds buf.
+func (sc *serverConn) writeBatch(buf []byte, m *Message) ([]byte, bool) {
+	buf = buf[:0]
+	var err error
+	for waiting := len(sc.out); ; waiting-- {
+		if buf, err = AppendMessage(buf, m, sc.srv.cfg.MaxPayload); err != nil || waiting == 0 {
+			break
+		}
+		m = <-sc.out
 	}
-	return WriteMessage(sc.c, m, sc.srv.cfg.MaxPayload) == nil
+	if len(buf) > 0 {
+		if sc.c.SetWriteDeadline(now().Add(sc.srv.cfg.WriteTimeout)) != nil {
+			return buf, false
+		}
+		if _, werr := sc.c.Write(buf); werr != nil {
+			return buf, false
+		}
+	}
+	return buf, err == nil
 }
 
 // writeLoop owns the socket's write side and its final close: it drains
@@ -580,10 +612,12 @@ func (sc *serverConn) writeLoop() {
 	defer func() {
 		_ = sc.c.Close() //lint:allow(errdrop) final close after flush; the peer sees the FIN either way
 	}()
+	var buf []byte
+	var ok bool
 	for {
 		select {
 		case m := <-sc.out:
-			if !sc.write(m) {
+			if buf, ok = sc.writeBatch(buf, m); !ok {
 				sc.teardown()
 				return
 			}
@@ -591,7 +625,7 @@ func (sc *serverConn) writeLoop() {
 			for {
 				select {
 				case m := <-sc.out:
-					if !sc.write(m) {
+					if buf, ok = sc.writeBatch(buf, m); !ok {
 						return
 					}
 				default:

@@ -29,9 +29,22 @@
 // Strings are uint16-length-prefixed UTF-8 (bounded by maxName); floats
 // are IEEE-754 bits, little-endian like every integer. The frame tensor
 // rides in the tensor package's RSNT binary format, whose reader already
-// bounds rank, element count, and per-read allocation — ReadMessage adds
+// bounds rank, element count, and per-read allocation — ReadPayload adds
 // the outer payload bound on top, so a hostile length prefix cannot force
 // an allocation larger than the configured maximum.
+//
+// Decode path: the server reads each connection through a bufio.Reader,
+// reads every payload into one reused per-connection buffer
+// (ReadPayload), and DecodeMessage copies out what it keeps; a FRAME's
+// tensor is decoded by tensor.ReadFrom, which allocates in proportion to
+// the frame (about twice its bytes), never to a fixed chunk or to the
+// header's claim. Encode path: AppendMessage appends a framed message
+// (length prefix, payload, RSNT tensor via Tensor.AppendBinary) to a
+// caller's buffer, so the server's writer coalesces every message waiting
+// for a connection into one Write and the client reuses one buffer per
+// SendFrame. The client consumes only whole messages: it peeks the length
+// and the body in a small bufio.Reader and discards them once decoded, so
+// a read deadline that fires mid-message loses nothing.
 package ingest
 
 import (
@@ -192,7 +205,11 @@ func appendString(buf []byte, s string) ([]byte, error) {
 // Encode renders the message payload (magic, type, body) without the
 // outer length prefix.
 func (m *Message) Encode() ([]byte, error) {
-	buf := make([]byte, 0, 64)
+	return m.appendPayload(make([]byte, 0, 64))
+}
+
+// appendPayload appends the message payload (magic, type, body) to buf.
+func (m *Message) appendPayload(buf []byte) ([]byte, error) {
 	buf = append(buf, wireMagic...)
 	buf = append(buf, m.Type)
 	var err error
@@ -220,11 +237,9 @@ func (m *Message) Encode() ([]byte, error) {
 		if m.Frame == nil {
 			return nil, fmt.Errorf("ingest: encode: FRAME without tensor")
 		}
-		w := sliceWriter{buf: buf}
-		if _, err := m.Frame.WriteTo(&w); err != nil {
+		if buf, err = m.Frame.AppendBinary(buf); err != nil {
 			return nil, err
 		}
-		buf = w.buf
 	case TypeResult:
 		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 		buf = append(buf, byte(m.Status))
@@ -248,33 +263,36 @@ func (m *Message) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// sliceWriter adapts an append-grown byte slice to io.Writer for
-// Tensor.WriteTo without copying through a bytes.Buffer.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
+// AppendMessage appends one framed message — length prefix plus payload —
+// to buf and returns the extended slice. On error buf comes back with its
+// original length, so a caller batching messages into one buffer keeps
+// everything appended before the failure.
+func AppendMessage(buf []byte, m *Message, maxPayload int) ([]byte, error) {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	start := len(buf)
+	out, err := m.appendPayload(append(buf, 0, 0, 0, 0))
+	if err != nil {
+		return buf[:start], err
+	}
+	n := len(out) - start - 4
+	if n > maxPayload {
+		return buf[:start], fmt.Errorf("ingest: payload %d bytes exceeds maximum %d", n, maxPayload)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
 }
 
 // WriteMessage frames and writes one message: length prefix plus payload
 // in a single Write call, so concurrent writers serialized by a lock never
 // interleave partial messages.
 func WriteMessage(w io.Writer, m *Message, maxPayload int) error {
-	payload, err := m.Encode()
+	buf, err := AppendMessage(nil, m, maxPayload)
 	if err != nil {
 		return err
 	}
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("ingest: payload %d bytes exceeds maximum %d", len(payload), maxPayload)
-	}
-	framed := make([]byte, 0, 4+len(payload))
-	framed = binary.LittleEndian.AppendUint32(framed, uint32(len(payload)))
-	framed = append(framed, payload...)
-	if _, err := w.Write(framed); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("ingest: write message: %w", err)
 	}
 	return nil
@@ -286,10 +304,11 @@ func WriteMessage(w io.Writer, m *Message, maxPayload int) error {
 var ErrTooLarge = fmt.Errorf("ingest: message exceeds maximum payload")
 
 // ReadPayload reads one message's raw payload bytes (length prefix
-// stripped, magic still in place). The server reads payloads raw so the
-// wire fault point can corrupt them before decoding, exactly where real
-// line noise would.
-func ReadPayload(r io.Reader, maxPayload int) ([]byte, error) {
+// stripped, magic still in place) into buf when it has room, else into a
+// fresh slice, and returns them. The server reads payloads raw so the wire
+// fault point can corrupt them before decoding, exactly where real line
+// noise would.
+func ReadPayload(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -301,11 +320,15 @@ func ReadPayload(r io.Reader, maxPayload int) ([]byte, error) {
 	if n > uint32(maxPayload) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxPayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if int(n) <= cap(buf) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("ingest: read payload: %w", err)
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // byteCursor walks a payload with explicit bounds checks; every decode
@@ -502,7 +525,7 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 
 // ReadMessage reads and decodes one framed message.
 func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
-	payload, err := ReadPayload(r, maxPayload)
+	payload, err := ReadPayload(r, nil, maxPayload)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func TestWireRejectsOversize(t *testing.T) {
 	// A hostile length prefix is refused before any allocation.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0x7F})
-	if _, err := ReadPayload(&buf, 1024); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadPayload(&buf, nil, 1024); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("hostile prefix: err = %v, want ErrTooLarge", err)
 	}
 }

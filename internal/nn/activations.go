@@ -10,6 +10,7 @@ import (
 type ReLU struct {
 	name     string
 	lastMask []bool
+	out1     *tensor.Tensor // single-sample inference output, allocated on first use
 }
 
 // NewReLU constructs a ReLU layer.
@@ -18,27 +19,31 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name returns the layer name.
 func (r *ReLU) Name() string { return r.name }
 
-// Forward applies max(0, x) elementwise.
+// Forward applies max(0, x) elementwise. A single-sample inference writes
+// into a buffer the layer owns.
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	var out *tensor.Tensor
+	if singleSample(x, training) {
+		if r.out1 == nil || !tensor.SameShape(r.out1, x) {
+			r.out1 = tensor.New(x.Shape()...)
+		}
+		out = r.out1
+	} else {
+		out = tensor.New(x.Shape()...)
+	}
 	xd, od := x.Data(), out.Data()
-	if training {
-		if len(r.lastMask) != len(xd) {
-			r.lastMask = make([]bool, len(xd))
-		}
-		for i, v := range xd {
-			if v > 0 {
-				od[i] = v
-				r.lastMask[i] = true
-			} else {
-				r.lastMask[i] = false
-			}
-		}
-		return out
+	if training && len(r.lastMask) != len(xd) {
+		r.lastMask = make([]bool, len(xd))
 	}
 	for i, v := range xd {
-		if v > 0 {
+		pos := v > 0
+		if pos {
 			od[i] = v
+		} else {
+			od[i] = 0
+		}
+		if training {
+			r.lastMask[i] = pos
 		}
 	}
 	return out

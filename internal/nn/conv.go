@@ -22,7 +22,12 @@ type Conv2D struct {
 
 	lastInput *tensor.Tensor
 	lastCols  []*tensor.Tensor // per-sample im2col caches from training Forward
-	colsBuf   *tensor.Tensor   // inference scratch, reused across calls
+
+	// Inference buffers, allocated on first use: cols is one sample's
+	// patch matrix, reused by every inference call; out1 is the output a
+	// single-sample inference returns, and res1 its (outC × spatial) view
+	// that the matmul writes before the bias add.
+	cols, out1, res1 *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer. geom describes the per-sample
@@ -70,12 +75,15 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) int {
 	return x.Dim(0)
 }
 
-// Forward convolves via im2col + matmul. The training path expands and
-// multiplies per sample (Backward needs each sample's patch matrix); the
-// inference path fuses the whole batch into one (C·KH·KW) × (B·OutH·OutW)
-// patch matrix and runs a single blocked matmul for the layer. Per output
-// element the contraction order is identical in both paths, so fused
-// batched inference is bit-identical to running the samples one at a time.
+// Forward convolves via im2col + matmul, one sample at a time: each
+// sample's (outC × spatial) product already has its output layout, so the
+// matmul writes straight into that sample's slice of the output and the
+// bias is added in place. Training keeps every sample's patch matrix for
+// Backward; inference reuses the layer's one-sample patch matrix, so no
+// call keeps batch-sized scratch. Per output element the contraction
+// order never depends on the batch, so results are bit-identical however
+// samples are batched. A single-sample inference writes into buffers the
+// layer owns.
 func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	batch := c.checkInput(x)
 	g := c.geom
@@ -84,52 +92,45 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	spatial := oh * ow
 	sampleIn := g.InC * g.InH * g.InW
 	sampleOut := c.outC * spatial
+	xd, bias := x.Data(), c.bias.Value.Data()
 
-	out := tensor.New(batch, c.outC, oh, ow)
-	xd, od, bias := x.Data(), out.Data(), c.bias.Value.Data()
-
-	if training {
+	var out *tensor.Tensor
+	switch {
+	case training:
+		out = tensor.New(batch, c.outC, oh, ow)
 		c.lastInput = x
 		c.lastCols = make([]*tensor.Tensor, batch)
-		for s := 0; s < batch; s++ {
-			cols := tensor.New(k, spatial)
-			c.lastCols[s] = cols
-			tensor.Im2col(xd[s*sampleIn:(s+1)*sampleIn], g, cols)
-			res := tensor.MatMul(c.weight.Value, cols) // (outC × spatial)
-			rd := res.Data()
-			base := s * sampleOut
-			for oc := 0; oc < c.outC; oc++ {
-				b := bias[oc]
-				src := rd[oc*spatial : (oc+1)*spatial]
-				dst := od[base+oc*spatial : base+(oc+1)*spatial]
-				for i, v := range src {
-					dst[i] = v + b
-				}
-			}
+	case batch == 1:
+		if c.out1 == nil {
+			c.out1 = tensor.New(1, c.outC, oh, ow)
+			c.res1 = c.out1.Reshape(c.outC, spatial)
 		}
-		return out
+		out = c.out1
+	default:
+		out = tensor.New(batch, c.outC, oh, ow)
 	}
-
-	// Inference: one matmul for the whole layer. The scratch patch matrix
-	// is cached per batch width, so the steady states (single-frame Detect,
-	// a stable fleet batch size) stay allocation-free on this path.
-	total := batch * spatial
-	if c.colsBuf == nil || c.colsBuf.Dim(1) != total {
-		c.colsBuf = tensor.New(k, total)
+	if c.cols == nil && !training {
+		c.cols = tensor.New(k, spatial)
 	}
+	od := out.Data()
 	for s := 0; s < batch; s++ {
-		tensor.Im2colOffset(xd[s*sampleIn:(s+1)*sampleIn], g, c.colsBuf, s*spatial)
-	}
-	res := tensor.MatMulBlocked(c.weight.Value, c.colsBuf) // (outC × B·spatial)
-	rd := res.Data()
-	for s := 0; s < batch; s++ {
-		base := s * sampleOut
+		cols := c.cols
+		if training {
+			cols = tensor.New(k, spatial)
+			c.lastCols[s] = cols
+		}
+		res := c.res1
+		if out != c.out1 {
+			res = tensor.FromSlice(od[s*sampleOut:(s+1)*sampleOut], c.outC, spatial)
+		}
+		tensor.Im2col(xd[s*sampleIn:(s+1)*sampleIn], g, cols)
+		tensor.MatMulBlockedInto(res, c.weight.Value, cols) // (outC × spatial)
+		rd := res.Data()
 		for oc := 0; oc < c.outC; oc++ {
 			b := bias[oc]
-			src := rd[oc*total+s*spatial : oc*total+(s+1)*spatial]
-			dst := od[base+oc*spatial : base+(oc+1)*spatial]
-			for i, v := range src {
-				dst[i] = v + b
+			row := rd[oc*spatial : (oc+1)*spatial]
+			for i := range row {
+				row[i] += b
 			}
 		}
 	}

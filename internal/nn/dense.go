@@ -14,6 +14,7 @@ type Dense struct {
 	bias    *Param
 
 	lastInput *tensor.Tensor // cached for Backward
+	out1      *tensor.Tensor // single-sample inference output, allocated on first use
 }
 
 // NewDense constructs a dense layer with He-normal initialized weights and
@@ -46,7 +47,8 @@ func (d *Dense) Weight() *Param { return d.weight }
 // Bias returns the bias parameter.
 func (d *Dense) Bias() *Param { return d.bias }
 
-// Forward computes x·Wᵀ + b.
+// Forward computes x·Wᵀ + b. A single-sample inference writes into a
+// buffer the layer owns.
 func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if x.Dims() != 2 || x.Dim(1) != d.in {
 		failf("nn: Dense %q input shape %v, want [B %d]", d.name, x.Shape(), d.in)
@@ -54,7 +56,16 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if training {
 		d.lastInput = x
 	}
-	out := tensor.MatMulTransB(x, d.weight.Value)
+	var out *tensor.Tensor
+	if singleSample(x, training) {
+		if d.out1 == nil {
+			d.out1 = tensor.New(1, d.out)
+		}
+		out = d.out1
+	} else {
+		out = tensor.New(x.Dim(0), d.out)
+	}
+	tensor.MatMulTransBInto(out, x, d.weight.Value)
 	b := d.bias.Value.Data()
 	od := out.Data()
 	cols := d.out

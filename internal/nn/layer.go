@@ -6,8 +6,10 @@
 // Conventions:
 //   - Activations flow as batch-major tensors: 2-D [B, F] for dense paths
 //     and 4-D [B, C, H, W] for convolutional paths.
-//   - Layers are stateful: Forward caches whatever Backward needs, so a
-//     model instance must not be shared between concurrent goroutines.
+//   - Layers are stateful: Forward caches whatever Backward needs, and a
+//     single-sample inference reuses layer-owned output buffers (see
+//     Layer.Forward), so a model instance must not be shared between
+//     concurrent goroutines.
 //   - Weights are float32 and exposed via named Params so the pruning layer
 //     can edit them in place.
 package nn
@@ -45,7 +47,14 @@ type Layer interface {
 	Name() string
 	// Forward computes the layer output for input x. When training is true
 	// the layer caches intermediates for Backward and applies train-time
-	// behaviour (e.g. dropout).
+	// behaviour (e.g. dropout). Forward never writes x.
+	//
+	// Lifetime: a single-sample inference (training false, batch dimension
+	// 1) may return a buffer the layer owns, allocated on first use; that
+	// output is overwritten by the layer's next single-sample inference.
+	// Clone it to keep it longer. Training and multi-sample inference
+	// return fresh tensors, and no layer keeps inference scratch for more
+	// than one sample.
 	Forward(x *tensor.Tensor, training bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss w.r.t. this layer's output
 	// and returns the gradient w.r.t. its input, accumulating parameter
@@ -69,6 +78,12 @@ type Info struct {
 	// ActivationsPerSample is the number of output scalars produced for a
 	// single sample (a proxy for memory traffic).
 	ActivationsPerSample int64
+}
+
+// singleSample reports whether a Forward call is a single-sample inference,
+// the call that may write into layer-owned buffers.
+func singleSample(x *tensor.Tensor, training bool) bool {
+	return !training && x.Dims() > 0 && x.Dim(0) == 1
 }
 
 // Described is implemented by layers that can report a static cost profile.

@@ -14,6 +14,7 @@ type MaxPool2D struct {
 
 	lastArg   []int // flat input index of each output's max, for Backward
 	lastShape []int
+	out1      *tensor.Tensor // single-sample inference output, allocated on first use
 }
 
 // NewMaxPool2D constructs a max pooling layer for inputs of shape [B,c,h,w].
@@ -46,14 +47,23 @@ func (m *MaxPool2D) OutW() int { return (m.w-m.kw)/m.strideW + 1 }
 // OutShape returns the per-sample output shape [C, OutH, OutW].
 func (m *MaxPool2D) OutShape() []int { return []int{m.c, m.OutH(), m.OutW()} }
 
-// Forward max-pools each channel plane.
+// Forward max-pools each channel plane. A single-sample inference writes
+// into a buffer the layer owns.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != m.c || x.Dim(2) != m.h || x.Dim(3) != m.w {
 		failf("nn: MaxPool2D %q input shape %v, want [B %d %d %d]", m.name, x.Shape(), m.c, m.h, m.w)
 	}
 	batch := x.Dim(0)
 	oh, ow := m.OutH(), m.OutW()
-	out := tensor.New(batch, m.c, oh, ow)
+	var out *tensor.Tensor
+	if singleSample(x, training) {
+		if m.out1 == nil {
+			m.out1 = tensor.New(1, m.c, oh, ow)
+		}
+		out = m.out1
+	} else {
+		out = tensor.New(batch, m.c, oh, ow)
+	}
 	if training {
 		m.lastArg = make([]int, out.Len())
 		m.lastShape = x.Shape()

@@ -48,7 +48,9 @@ func (m *Sequential) Layer(name string) Layer {
 	return nil
 }
 
-// Forward runs the input through every layer in order.
+// Forward runs the input through every layer in order. A single-sample
+// inference returns the last layer's buffer, overwritten by the model's
+// next single-sample inference (see Layer.Forward).
 func (m *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	for _, l := range m.layers {
 		x = l.Forward(x, training)

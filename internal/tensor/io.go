@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary serialization format (little-endian):
@@ -27,35 +28,38 @@ const (
 	maxElements = 1 << 30
 	// readChunk caps how much ReadFrom requests per io.ReadFull, so a
 	// header that *claims* a huge payload cannot force a huge allocation:
-	// memory grows with bytes actually delivered, not with the claim.
+	// memory grows with bytes actually delivered, not with the claim. A
+	// smaller claim gets a chunk of exactly its size, so decoding a 1 KiB
+	// frame costs about 2 KiB, not a 64 KiB chunk.
 	readChunk = 64 * 1024
 )
 
-// WriteTo serializes t to w in the package binary format. It implements
-// io.WriterTo.
+// WriteTo serializes t to w in the package binary format with one Write. It
+// implements io.WriterTo.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	hdr := make([]byte, 8+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr[0:], tensorMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[8+4*i:], uint32(d))
-	}
-	wn, err := w.Write(hdr)
-	n += int64(wn)
+	buf, _ := t.AppendBinary(make([]byte, 0, t.EncodedSize())) // never fails
+	n, err := w.Write(buf)
 	if err != nil {
-		return n, fmt.Errorf("tensor: write header: %w", err)
+		return int64(n), fmt.Errorf("tensor: write: %w", err)
 	}
-	buf := make([]byte, 4*len(t.data))
-	for i, v := range t.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	return int64(n), nil
+}
+
+// AppendBinary appends t in the package binary format to b and returns the
+// extended slice, so a caller framing t inside a larger message encodes it
+// straight into its own buffer. It has the encoding.BinaryAppender shape;
+// the error is always nil.
+func (t *Tensor) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, t.EncodedSize())
+	b = binary.LittleEndian.AppendUint32(b, tensorMagic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.shape)))
+	for _, d := range t.shape {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
-	wn, err = w.Write(buf)
-	n += int64(wn)
-	if err != nil {
-		return n, fmt.Errorf("tensor: write data: %w", err)
+	for _, v := range t.data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 	}
-	return n, nil
+	return b, nil
 }
 
 // ReadFrom deserializes a tensor from r, replacing t's shape and data. It
@@ -100,7 +104,7 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	// arrive: a truncated stream with an inflated header fails with a
 	// proportional allocation, not a 4 GiB one.
 	data := make([]float32, 0, min(total, readChunk/4))
-	var chunk [readChunk]byte
+	chunk := make([]byte, 4*min(total, readChunk/4))
 	for remaining := total; remaining > 0; {
 		elems := min(remaining, readChunk/4)
 		rn, err = io.ReadFull(r, chunk[:4*elems])

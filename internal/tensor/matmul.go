@@ -172,8 +172,20 @@ func matMulRows(out, a, b *Tensor, accumulate bool, lo, hi int) {
 // relies on when a fused dense layer runs many frames as one product.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, n := checkMatMulShapes("MatMulTransB", a, b, nil, false, true)
-	k := a.shape[1]
 	out := New(m, n)
+	matMulTransBInto(out, a, b)
+	return out
+}
+
+// MatMulTransBInto computes out = a·bᵀ, reusing out's storage. out must
+// already have shape (m×n); every element is overwritten.
+func MatMulTransBInto(out, a, b *Tensor) {
+	checkMatMulShapes("MatMulTransBInto", a, b, out, false, true)
+	matMulTransBInto(out, a, b)
+}
+
+func matMulTransBInto(out, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], out.shape[1]
 	workers := resolveWorkers()
 	if workers > 1 && int64(m)*int64(k)*int64(n) >= parallelThreshold && m > 1 {
 		if workers > m {
@@ -197,10 +209,9 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 			}(lo, hi)
 		}
 		wg.Wait()
-		return out
+		return
 	}
 	matMulTransBRows(out, a, b, 0, m)
-	return out
 }
 
 // matMulTransBRows computes output rows [lo, hi) of out = a·bᵀ.

@@ -16,31 +16,37 @@
 #                          serial one (tolerance 1.5x, best of two attempts,
 #                          because CI wall clocks are noisy)
 #   5. go test           — the full unit-test suite
-#   6. go test -race     — the concurrency-sensitive packages under the
+#   6. rpnbench module   — go vet + go test inside cmd/rpnbench, which is a
+#                          module of its own (cmd/rpnbench/go.mod) that
+#                          ./... skips; without this step an internal API
+#                          change the benchmark calls breaks only the
+#                          benchmark run. Its tests include a short smoke
+#                          run of every workload (~75 s on 2 CPUs)
+#   7. go test -race     — the concurrency-sensitive packages under the
 #                          race detector
-#   7. go test -fuzz     — a short coverage-guided smoke run of the binary
+#   8. go test -fuzz     — a short coverage-guided smoke run of the binary
 #                          format fuzzers (the checked-in corpus always runs
 #                          as part of step 5)
-#   8. docs consistency  — the METRICS.md cross-check (every emitted metric
+#   9. docs consistency  — the METRICS.md cross-check (every emitted metric
 #                          documented, every documented metric emitted) and
 #                          the docs link check (every docs/*.md file that
 #                          README.md, DESIGN.md, or a docs page references
 #                          must exist — a renamed chapter fails here, not in
 #                          a reader's 404)
-#   9. fleet throughput  — scripts/bench_fleet.sh: the batched fused
+#  10. fleet throughput  — scripts/bench_fleet.sh: the batched fused
 #                          dispatch path must not be slower than the
 #                          per-instance path at fleet sizes ≥ 8 (best of
 #                          two attempts); writes BENCH_fleet.json
-#  10. fleet memory      — scripts/bench_mem.sh: a 64-wide fleet of
+#  11. fleet memory      — scripts/bench_mem.sh: a 64-wide fleet of
 #                          copy-on-write store views must keep per-instance
 #                          resident bytes ≤ 0.25× the independent-build
 #                          baseline; writes BENCH_mem.json
-#  11. telemetry hot path — scripts/bench_telemetry.sh: the sharded
+#  12. telemetry hot path — scripts/bench_telemetry.sh: the sharded
 #                          registry must beat the seed mutex registry ≥ 4×
 #                          under contended Observe/Incr at 8 goroutines
 #                          (non-regression on hosts too small to express
 #                          contention); writes BENCH_telemetry.json
-#  12. ingest front end   — scripts/bench_ingest.sh: the sheds-before-
+#  13. ingest front end   — scripts/bench_ingest.sh: the sheds-before-
 #                          blocking gate — at a 64-vehicle overload the
 #                          criticality queue must actually shed AND p99
 #                          enqueue latency must stay bounded (a blocking
@@ -100,6 +106,8 @@ if (( ! perf_ok )); then
 fi
 
 step go test ./...
+echo "==> cmd/rpnbench: go vet + go test (a module of its own)"
+(cd cmd/rpnbench && GOWORK=off go vet . && GOWORK=off go test -count=1 .)
 step go test -race ./internal/core/ ./internal/perception/ ./internal/tensor/ ./internal/governor/ ./internal/metrics/ ./internal/telemetry/ ./internal/telemetry/window/ ./internal/telemetry/otlp/ ./internal/fleet/ ./internal/fault/ ./internal/health/ ./internal/ingest/
 step go test -run '^$' -fuzz FuzzReadTensor -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzStackRoundTrip -fuzztime 5s ./internal/tensor/
