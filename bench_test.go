@@ -7,14 +7,12 @@ package revprune
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/governor"
 	"repro/internal/nn"
 	"repro/internal/perception"
@@ -32,9 +30,7 @@ var (
 	benchZoo  *experiments.Zoo
 )
 
-func zoo(b *testing.B) *experiments.Zoo { return zooTB(b) }
-
-func zooTB(b testing.TB) *experiments.Zoo {
+func zoo(b *testing.B) *experiments.Zoo {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchZoo = experiments.NewZoo(1)
@@ -417,121 +413,6 @@ func BenchmarkA5_HalfStoreRestore(b *testing.B) {
 		if err := rm.RestoreFull(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Fleet throughput: fused batched dispatch vs the per-instance path. ---
-
-// benchFleet builds a fleet of size clones of the obstacle stack — every
-// instance a copy-on-write view over the zoo's one shared checkpoint
-// store, so the whole fleet shares a CheckpointID and the batch planner
-// can fuse across it without re-fingerprinting.
-func benchFleet(b testing.TB, size int) (*fleet.Fleet, []string, []*tensor.Tensor) {
-	b.Helper()
-	z := zooTB(b)
-	f := fleet.New()
-	b.Cleanup(func() {
-		if err := f.Release(); err != nil {
-			b.Error(err)
-		}
-	})
-	names := make([]string, size)
-	for i := range names {
-		model, rm, err := z.ObstacleStackView(platform.EmbeddedCPU())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pipe, err := perception.NewPipeline(model, 16, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		names[i] = fmt.Sprintf("car%02d", i)
-		inst, err := fleet.NewInstance(names[i], pipe, rm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Add(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := tensor.NewRNG(9)
-	frames := make([]*tensor.Tensor, size)
-	for i := range frames {
-		frames[i] = tensor.RandNormal(rng, 0, 1, 1, 16, 16)
-	}
-	return f, names, frames
-}
-
-// benchRounds is how many frames per instance one throughput iteration
-// pushes. Throughput is a sustained-rate quantity: several rounds keep the
-// batched dispatcher's queue deep enough that goroutine hand-off latency
-// amortizes across fused passes instead of being charged to every frame.
-const benchRounds = 8
-
-// BenchmarkFleetThroughput is the scripts/bench_fleet.sh workload: one
-// iteration classifies benchRounds frames per instance, either through the
-// batched dispatcher (fused groups, one matmul per layer) or the plain
-// per-instance path. The ns/frame metric is what BENCH_fleet.json records
-// and what the verify.sh non-regression gate compares — batched must not
-// be slower at fleet sizes ≥ 8.
-func BenchmarkFleetThroughput(b *testing.B) {
-	for _, size := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("sequential-%d", size), func(b *testing.B) {
-			f, names, frames := benchFleet(b, size)
-			insts := make([]*fleet.Instance, size)
-			for i, n := range names {
-				insts[i], _ = f.Get(n)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < benchRounds; r++ {
-					for j, inst := range insts {
-						if _, err := inst.Detect(frames[j]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size*benchRounds), "ns/frame")
-		})
-		b.Run(fmt.Sprintf("batched-%d", size), func(b *testing.B) {
-			f, names, frames := benchFleet(b, size)
-			// Fusion has a cache sweet spot: past ~16 frames the batch's
-			// activation tensors outgrow L2 and the wide pass slows down, so the
-			// planner is capped there and large fleets run as several fused
-			// groups overlapping across the workers. Below the cap a window
-			// may fuse several queued rounds of the same instances (the
-			// planner dedupes locks and keeps per-instance frame order), so
-			// small fleets still fill 16-wide passes.
-			maxBatch := 2 * size
-			if maxBatch < 2 {
-				maxBatch = 2
-			}
-			if maxBatch > 16 {
-				maxBatch = 16
-			}
-			d, err := fleet.NewDispatcher(f, 2, benchRounds*size, fleet.WithBatching(maxBatch))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < benchRounds; r++ {
-					for j, name := range names {
-						if _, err := d.Submit(name, frames[j]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				for j := 0; j < benchRounds*size; j++ {
-					if res := <-d.Results(); res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size*benchRounds), "ns/frame")
-		})
 	}
 }
 

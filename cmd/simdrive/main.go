@@ -40,7 +40,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/otlp"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -320,96 +319,6 @@ type fleetVehicle struct {
 	seed  int64
 }
 
-// reportBatchedThroughput pushes the same seeded synthetic frames through
-// the per-instance path and through a batched dispatcher (fused groups,
-// one matmul per layer; see fleet.WithBatching) and prints the per-frame
-// wall-clock of both. Run right after the fleet is built, every clone
-// shares a checkpoint and level, so every frame is fusable; the printed
-// fused fraction below 100% means the planner's windows closed early, not
-// that detections changed — the fused path is bit-identical to the
-// per-instance one.
-func reportBatchedThroughput(f *fleet.Fleet, vehicles []fleetVehicle, reg *telemetry.Registry, seed int64) error {
-	const rounds = 4
-	n := len(vehicles)
-	rng := tensor.NewRNG(seed)
-	frames := make([]*tensor.Tensor, n)
-	for i := range frames {
-		frames[i] = tensor.RandNormal(rng, 0, 1, 1, 16, 16)
-	}
-
-	// Twice the fleet width lets a planning window fuse two queued rounds
-	// of the same instances; past ~16 frames the stacked pass outgrows
-	// cache, so the window is capped there.
-	maxBatch := 2 * n
-	if maxBatch > 16 {
-		maxBatch = 16
-	}
-	opts := []fleet.DispatchOption{fleet.WithBatching(maxBatch)}
-	if reg != nil {
-		opts = append(opts, fleet.WithBatchObserver(telemetry.NewHooks(reg)))
-	}
-	d, err := fleet.NewDispatcher(f, 2, rounds*n, opts...)
-	if err != nil {
-		return err
-	}
-
-	// Untimed warm-up of both paths: first passes pay one-off costs (im2col
-	// and batch buffer allocation, dispatcher goroutine start-up) that a
-	// steady-state throughput number must not include.
-	batchedRounds := func(rounds int) (fused int, err error) {
-		for r := 0; r < rounds; r++ {
-			for i, v := range vehicles {
-				if _, err := d.Submit(v.inst.Name(), frames[i]); err != nil {
-					return fused, fmt.Errorf("batch report: submit: %w", err)
-				}
-			}
-		}
-		for i := 0; i < rounds*n; i++ {
-			res := <-d.Results()
-			if res.Err != nil {
-				return fused, fmt.Errorf("batch report: %s: %w", res.Model, res.Err)
-			}
-			if res.Batched {
-				fused++
-			}
-		}
-		return fused, nil
-	}
-	if _, err := batchedRounds(1); err != nil {
-		return err
-	}
-	for i, v := range vehicles {
-		if _, err := v.inst.Detect(frames[i]); err != nil {
-			return fmt.Errorf("batch report: per-instance path: %w", err)
-		}
-	}
-
-	t0 := time.Now()
-	for r := 0; r < rounds; r++ {
-		for i, v := range vehicles {
-			if _, err := v.inst.Detect(frames[i]); err != nil {
-				return fmt.Errorf("batch report: per-instance path: %w", err)
-			}
-		}
-	}
-	seqPer := time.Since(t0) / time.Duration(rounds*n)
-
-	t0 = time.Now()
-	fused, err := batchedRounds(rounds)
-	if err != nil {
-		return err
-	}
-	batchPer := time.Since(t0) / time.Duration(rounds*n)
-	d.Close()
-
-	fmt.Printf("fleet batch: per-instance %s µs/frame, fused %s µs/frame (%s×, %d/%d frames fused)\n",
-		metrics.F(float64(seqPer.Microseconds()), 1),
-		metrics.F(float64(batchPer.Microseconds()), 1),
-		metrics.F(float64(seqPer)/float64(batchPer), 2),
-		fused, rounds*n)
-	return nil
-}
-
 // runFleet builds n instances named car0..car(n-1) — each with its own
 // trained model, governor, and (when reg is non-nil) model-labeled
 // telemetry hooks — and drives them concurrently, each through its own
@@ -525,17 +434,6 @@ func runFleet(base sim.Scenario, policyName string, seed int64, csvPath string, 
 			fmt.Fprintln(os.Stderr, "simdrive: fleet teardown:", err)
 		}
 	}()
-
-	// While every clone still shares its checkpoint and prune level — the
-	// one moment the whole fleet is guaranteed fusable — measure the fused
-	// batched dispatch against the per-instance path and report the
-	// wall-clock. Skipped under a chaos drill: an armed injector makes
-	// instances unbatchable by design.
-	if n >= 2 && inj == nil {
-		if err := reportBatchedThroughput(f, vehicles, reg, seed); err != nil {
-			return err
-		}
-	}
 
 	// Watchdog-driven integrity scrubbing: while an instance sits at
 	// Degraded, periodically re-enforce its masks so silent pruned-position

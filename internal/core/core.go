@@ -321,11 +321,11 @@ func (s *CheckpointStore) fingerprint() uint64 {
 // dense prunable weights folded with the full nested-plan delta layout.
 // Instances cloned from the same trained checkpoint with the same plan
 // family share a CheckpointID and therefore hold bit-identical weights at
-// every prune level — the precondition the fleet batch planner requires
-// before fusing their frames into one batched forward pass. The value is
-// computed once when the store is sealed (Build, RefreshStore) and shared
-// by every view, so neither reading it nor cloning an instance re-hashes
-// the weights.
+// every prune level. It is the checkpoint store's identity (views of one
+// store report the same value, and the store's errors name it). The value
+// is computed once when the store is sealed (Build, RefreshStore) and
+// shared by every view, so neither reading it nor cloning an instance
+// re-hashes the weights.
 func (rm *ReversibleModel) CheckpointID() uint64 { return rm.store.ckpt }
 
 // Model returns the live network. Its weights reflect the current level.
@@ -353,7 +353,7 @@ func (rm *ReversibleModel) Levels() []*Level { return rm.store.levels }
 // The hook is nil-safe by construction: with no observer, ApplyLevel takes
 // no clock readings and performs no extra allocations. SetObserver is not
 // synchronized with ApplyLevel; install the observer before the model is
-// shared (perception.Concurrent serializes the callers afterwards).
+// shared (fleet.Instance serializes the callers afterwards).
 // An observer that also implements StoreObserver additionally receives
 // checksum-verification and residency reports, starting with the view's
 // current residency at install time.

@@ -268,13 +268,3 @@ func (z *Zoo) ObstacleStackView(spec platform.Spec) (*nn.Sequential, *core.Rever
 	}
 	return arch, view, nil
 }
-
-// ObstacleStore exposes the memoized shared checkpoint store behind
-// ObstacleStackView (building it on first use), so harnesses can assert
-// refcount hygiene after tearing a fleet down.
-func (z *Zoo) ObstacleStore() (*core.CheckpointStore, error) {
-	if _, _, err := z.ObstacleStackView(platform.EmbeddedCPU()); err != nil {
-		return nil, err
-	}
-	return z.stackRM.Store(), nil
-}

@@ -36,18 +36,12 @@ type Result struct {
 	// Health is the instance's state after this frame was observed
 	// (Healthy when no monitor is installed).
 	Health health.State
-	// Batched reports that the frame was served by a fused batched pass
-	// (always false without WithBatching); BatchSize is that pass's group
-	// size. The Detection is identical either way — the batch planner's
-	// kernels are bit-identical to the per-instance path's.
-	Batched   bool
-	BatchSize int
 	// Tag is the opaque routing handle the submitter attached through
 	// SubmitTagged (nil for plain Submit). The dispatcher carries it
-	// untouched through every execution path — per-instance, fused batch,
-	// quarantine reject, recovered panic — so a caller multiplexing many
-	// upstream sources (the ingest front end routing results back to
-	// network connections) never needs a seq→source map.
+	// untouched through every outcome — served, quarantine reject,
+	// recovered panic — so a caller multiplexing many upstream sources
+	// (the ingest front end routing results back to network connections)
+	// never needs a seq→source map.
 	Tag any
 }
 
@@ -77,14 +71,6 @@ type Dispatcher struct {
 	once    sync.Once
 	seq     atomic.Int64
 
-	// Batch planner state (nil/zero without WithBatching): the batcher
-	// goroutine turns the job stream into execution units — fused groups
-	// or singletons — on exec, and the workers consume exec instead of
-	// jobs. See batch.go.
-	maxBatch int
-	exec     chan []job
-	batchObs BatchObserver
-
 	// closeMu orders Submit's closed-check-then-send against Close's
 	// close(jobs): senders hold the read side across the send, so the
 	// channel can only close once no Submit is mid-flight.
@@ -103,23 +89,6 @@ type DispatchOption func(*Dispatcher)
 // monitor separately.
 func WithHealthMonitor(m *health.Monitor) DispatchOption {
 	return func(d *Dispatcher) { d.monitor = m }
-}
-
-// WithBatching enables the fused batch planner: frames already queued for
-// instances sharing a (checkpoint, level, geometry) batch key run as one
-// batched forward pass — one matmul per layer — of at most maxBatch
-// frames. Frames that cannot fuse (singletons, armed fault injectors,
-// mid-transition stragglers) take the unchanged per-instance path, so
-// enabling batching never changes a Detection, only the wall-clock it
-// takes to produce it. maxBatch must be ≥ 2.
-func WithBatching(maxBatch int) DispatchOption {
-	return func(d *Dispatcher) { d.maxBatch = maxBatch }
-}
-
-// WithBatchObserver installs the batch planner's telemetry seam
-// (typically a flat telemetry.Hooks). Only meaningful with WithBatching.
-func WithBatchObserver(o BatchObserver) DispatchOption {
-	return func(d *Dispatcher) { d.batchObs = o }
 }
 
 // NewDispatcher starts workers goroutines over the fleet. queue bounds the
@@ -144,14 +113,6 @@ func NewDispatcher(f *Fleet, workers, queue int, opts ...DispatchOption) (*Dispa
 	for _, o := range opts {
 		o(d)
 	}
-	if d.maxBatch == 1 || d.maxBatch < 0 {
-		return nil, fmt.Errorf("fleet: batch size %d (need ≥ 2)", d.maxBatch)
-	}
-	if d.maxBatch > 1 {
-		d.exec = make(chan []job, queue+1)
-		d.wg.Add(1)
-		go d.batcher()
-	}
 	for w := 0; w < workers; w++ {
 		d.wg.Add(1)
 		go d.worker()
@@ -159,21 +120,9 @@ func NewDispatcher(f *Fleet, workers, queue int, opts ...DispatchOption) (*Dispa
 	return d, nil
 }
 
-// worker drains its input stream until Close shuts it down: execution
-// units from the batcher when the batch planner is on, raw jobs
-// otherwise.
+// worker serves queued jobs until Close closes the queue.
 func (d *Dispatcher) worker() {
 	defer d.wg.Done()
-	if d.exec != nil {
-		for g := range d.exec {
-			if len(g) == 1 {
-				d.results <- d.process(g[0])
-				continue
-			}
-			d.processBatch(g)
-		}
-		return
-	}
 	for j := range d.jobs {
 		d.results <- d.process(j)
 	}
@@ -215,8 +164,8 @@ func (d *Dispatcher) Submit(model string, frame *tensor.Tensor) (int64, error) {
 }
 
 // SubmitTagged is Submit with an opaque routing tag: the frame's Result —
-// whichever execution path produces it — carries tag back verbatim in
-// Result.Tag. Submitters that need to correlate results to their origin
+// whatever its outcome — carries tag back verbatim in Result.Tag.
+// Submitters that need to correlate results to their origin
 // (per-connection routing in the ingest front end) attach the origin here
 // instead of maintaining a seq-indexed map, which would race the result
 // arriving before the map entry is written.

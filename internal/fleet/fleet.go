@@ -2,11 +2,10 @@
 // model instances sharing one platform. Each Instance owns its
 // perception.Pipeline + core.ReversibleModel + governor.Governor behind a
 // per-instance lock, so N vehicles run their control loops concurrently
-// with no cross-instance contention — unlike the one-global-mutex
-// perception.Concurrent, which remains as the single-instance special
-// case. A Dispatcher fans incoming frames across instances on worker
-// goroutines, and a BudgetGovernor retargets prune levels fleet-wide to
-// hold an aggregate energy/latency budget.
+// with no cross-instance contention. A Dispatcher fans incoming frames
+// across instances on worker goroutines, each frame served by its own
+// instance's Detect, and a BudgetGovernor retargets prune levels
+// fleet-wide to hold an aggregate energy/latency budget.
 //
 // Telemetry: each instance's observers are wired externally (typically a
 // telemetry.Hooks with a model="<name>" base label via SetObserver /

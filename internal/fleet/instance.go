@@ -37,7 +37,8 @@ type Instance struct {
 	// demand rises. Guarded by mu.
 	demand int
 	// obs is the per-frame observer behind an atomic pointer, so installing
-	// it mid-flight is safe (same pattern as perception.Concurrent).
+	// it mid-flight is safe; a nil load means no observation and no clock
+	// reads.
 	obs atomic.Pointer[perception.FrameObserver]
 	// inj, when non-nil, is the chaos harness: its frame point runs before
 	// every forward pass and its transition point after every completed

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -191,10 +192,6 @@ func Listen(cfg Config, addr string) (*Server, error) {
 // Addr returns the listener's address, for clients started on port 0.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// QueueDepth returns the current total queued frame count (tests and the
-// /healthz surface read it).
-func (s *Server) QueueDepth() int { return s.queue.Depth() }
-
 // acceptLoop admits connections until the listener closes.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -308,7 +305,7 @@ func (s *Server) readFrames(sc *serverConn, br *bufio.Reader) {
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				s.obs.ObserveIngestRejected(ReasonTooLarge.String())
-				sc.send(&Message{Type: TypeReject, Reason: ReasonTooLarge, Text: err.Error()})
+				sc.send(&Message{Type: TypeReject, Reason: ReasonTooLarge, Text: errText(err)})
 			}
 			// EOF, idle deadline, teardown kick, or an oversized claim:
 			// the stream is unrecoverable past a bad length prefix.
@@ -333,7 +330,7 @@ func (s *Server) readFrames(sc *serverConn, br *bufio.Reader) {
 			// connection (chaos garble windows would otherwise sever every
 			// peer they touch).
 			s.obs.ObserveIngestRejected(ReasonBadFrame.String())
-			sc.send(&Message{Type: TypeReject, Reason: ReasonBadFrame, Text: err.Error()})
+			sc.send(&Message{Type: TypeReject, Reason: ReasonBadFrame, Text: errText(err)})
 			continue
 		}
 		if m.Type != TypeFrame {
@@ -420,7 +417,7 @@ func (s *Server) pump() {
 			return
 		}
 		if _, err := s.cfg.Backend.SubmitTagged(it.model, it.frame, &pending{it: it}); err != nil {
-			s.finish(it, &Message{Type: TypeResult, Seq: it.seq, Status: StatusError, Text: err.Error()})
+			s.finish(it, &Message{Type: TypeResult, Seq: it.seq, Status: StatusError, Text: errText(err)})
 		}
 	}
 }
@@ -461,12 +458,27 @@ func (s *Server) route(res fleet.Result) {
 		s.obs.ObserveIngestFrameLatency(now().Sub(p.it.arrived))
 	case errors.Is(res.Err, fleet.ErrQuarantined):
 		m.Status = StatusQuarantined
-		m.Text = res.Err.Error()
+		m.Text = errText(res.Err)
 	default:
 		m.Status = StatusError
-		m.Text = res.Err.Error()
+		m.Text = errText(res.Err)
 	}
 	s.finish(p.it, m)
+}
+
+// errText renders err as a wire Text, clipped to maxName bytes on a UTF-8
+// boundary: the encoder refuses longer strings, and a message that fails
+// to encode severs its connection, losing every result queued behind it.
+func errText(err error) string {
+	s := err.Error()
+	if len(s) <= maxName {
+		return s
+	}
+	cut := maxName
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut]
 }
 
 // Shutdown drains gracefully: reject new connections and frames, close

@@ -2,12 +2,15 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -26,6 +29,9 @@ type stubBackend struct {
 	wg      sync.WaitGroup
 	delay   time.Duration
 	served  atomic.Int64
+	// errs, when set before the first frame, fails each job with the
+	// next queued error until it runs dry.
+	errs chan error
 }
 
 type stubJob struct {
@@ -53,11 +59,17 @@ func (b *stubBackend) worker() {
 			time.Sleep(b.delay)
 		}
 		b.served.Add(1)
-		b.results <- fleet.Result{
+		res := fleet.Result{
 			Model:     j.model,
 			Tag:       j.tag,
 			Detection: perception.Detection{Obstacle: true, Confidence: 0.9, Uncertainty: 0.1},
 		}
+		select {
+		case err := <-b.errs:
+			res.Detection, res.Err = perception.Detection{}, err
+		default:
+		}
+		b.results <- res
 	}
 }
 
@@ -468,6 +480,49 @@ func TestServerSubmitErrorSurfaces(t *testing.T) {
 	m, err := cl.Read(2 * time.Second)
 	if err != nil || m.Type != TypeResult || m.Status != StatusError || m.Text == "" {
 		t.Fatalf("unknown-model frame: %+v, %v", m, err)
+	}
+}
+
+// TestServerLongBackendErrorKeepsConnection: a backend error longer than
+// the wire's string bound reaches the client clipped on a UTF-8 boundary
+// as a StatusError RESULT, and the next frame on the same connection is
+// still served.
+func TestServerLongBackendErrorKeepsConnection(t *testing.T) {
+	b := newStubBackend(1, 4, 0)
+	long := "x" + strings.Repeat("ü", 150) // 301 bytes; byte maxName falls mid-rune
+	b.errs = make(chan error, 1)
+	b.errs <- errors.New(long)
+	s, shutdown := startServer(t, Config{}, b)
+	defer shutdown()
+
+	cl, err := Dial(s.Addr().String(), "acme", "car0", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := cl.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := cl.SendFrame(1, safety.Nominal, testFrame(4)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cl.Read(2 * time.Second)
+	if err != nil {
+		t.Fatalf("long backend error severed the connection: %v", err)
+	}
+	if m.Type != TypeResult || m.Seq != 1 || m.Status != StatusError {
+		t.Fatalf("long-error frame: %+v", m)
+	}
+	if len(m.Text) != maxName-1 || !utf8.ValidString(m.Text) || !strings.HasPrefix(long, m.Text) {
+		t.Fatalf("error text %d bytes %q, want the error's first %d bytes", len(m.Text), m.Text, maxName-1)
+	}
+	if err := cl.SendFrame(2, safety.Nominal, testFrame(4)); err != nil {
+		t.Fatal(err)
+	}
+	m, err = cl.Read(2 * time.Second)
+	if err != nil || m.Type != TypeResult || m.Seq != 2 || m.Status != StatusOK {
+		t.Fatalf("frame after the long error: %+v, %v", m, err)
 	}
 }
 

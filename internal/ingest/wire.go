@@ -65,7 +65,9 @@ const (
 	// frame (a 64×64 float32 frame is ~16 KiB), small enough that a
 	// hostile length prefix cannot balloon memory.
 	DefaultMaxPayload = 1 << 20
-	// maxName bounds the tenant and vehicle identifier strings.
+	// maxName bounds every wire string: the tenant and vehicle
+	// identifiers and a REJECT's or RESULT's Text (the server clips error
+	// text to it).
 	maxName = 256
 )
 

@@ -26,8 +26,7 @@ var GoroleakPackages = []string{
 	// exporter's periodic push loop is the longest-lived goroutine in the
 	// tree.
 	"repro/internal/telemetry/otlp",
-	// Includes the dispatcher's batch planner (the batcher goroutine and
-	// the fused-group workers in fleet/batch.go).
+	// The dispatcher's worker pool, joined by Close.
 	"repro/internal/fleet",
 	"repro/internal/fault",
 	"repro/internal/health",

@@ -20,6 +20,8 @@ type Conv2D struct {
 	weight *Param
 	bias   *Param
 
+	// Training caches: set by a training Forward, dropped by the Backward
+	// that consumes them, so a trained model keeps no batch alive.
 	lastInput *tensor.Tensor
 	lastCols  []*tensor.Tensor // per-sample im2col caches from training Forward
 
@@ -63,9 +65,6 @@ func (c *Conv2D) Weight() *Param { return c.weight }
 
 // Bias returns the per-filter bias parameter.
 func (c *Conv2D) Bias() *Param { return c.bias }
-
-// OutShape returns the per-sample output shape [outC, outH, outW].
-func (c *Conv2D) OutShape() []int { return []int{c.outC, c.geom.OutH(), c.geom.OutW()} }
 
 func (c *Conv2D) checkInput(x *tensor.Tensor) int {
 	g := c.geom
@@ -137,7 +136,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates weight/bias gradients and returns the input gradient.
+// Backward accumulates weight/bias gradients and returns the input
+// gradient. It consumes the training Forward's caches: a second Backward
+// needs another training Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastInput == nil || c.lastCols == nil {
 		failf("nn: Conv2D %q Backward before training Forward", c.name)
@@ -171,6 +172,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		dcols := tensor.MatMulTransA(c.weight.Value, gSample)
 		tensor.Col2im(dcols, g, dxd[s*sampleIn:(s+1)*sampleIn])
 	}
+	c.lastInput, c.lastCols = nil, nil
 	return dx
 }
 

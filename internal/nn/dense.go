@@ -13,7 +13,7 @@ type Dense struct {
 	weight  *Param
 	bias    *Param
 
-	lastInput *tensor.Tensor // cached for Backward
+	lastInput *tensor.Tensor // set by a training Forward, dropped by Backward
 	out1      *tensor.Tensor // single-sample inference output, allocated on first use
 }
 
@@ -79,13 +79,16 @@ func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 }
 
 // Backward accumulates dW = gradᵀ·x and db = Σ grad rows, and returns
-// dx = grad·W.
+// dx = grad·W. It consumes the training Forward's cached input, so a
+// trained model keeps no batch alive; a second Backward needs another
+// training Forward.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
 		failf("nn: Dense %q Backward before training Forward", d.name)
 	}
 	// dW (out×in) += gradᵀ (out×B) · x (B×in)
 	dW := tensor.MatMulTransA(grad, d.lastInput)
+	d.lastInput = nil
 	tensor.AddInPlace(d.weight.Grad, dW)
 	// db += column sums of grad.
 	tensor.AddInPlace(d.bias.Grad, tensor.SumRows(grad))

@@ -58,8 +58,9 @@ type Layer interface {
 	Forward(x *tensor.Tensor, training bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss w.r.t. this layer's output
 	// and returns the gradient w.r.t. its input, accumulating parameter
-	// gradients along the way. It must be called after a training-mode
-	// Forward.
+	// gradients along the way. It must be called once after each
+	// training-mode Forward; layers may drop their caches once it
+	// returns.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -79,6 +81,42 @@ func TestDenseGradients(t *testing.T) {
 	d := NewDense("fc", 4, 3, rng)
 	x := tensor.RandNormal(rng, 0, 1, 2, 4)
 	checkGradients(t, d, x, rng)
+}
+
+// TestBackwardDropsTrainingCaches: Backward consumes the batch its
+// training Forward cached, so a trained model keeps no training batch
+// alive, and a second Backward fails instead of reading stale data.
+func TestBackwardDropsTrainingCaches(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	g := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	conv := NewConv2D("conv", g, 2, rng)
+	fc := NewDense("fc", 4, 3, rng)
+	for _, tc := range []struct {
+		layer  Layer
+		x      *tensor.Tensor
+		cached func() bool
+	}{
+		{conv, tensor.RandNormal(rng, 0, 1, 3, 1, 6, 6), func() bool { return conv.lastInput != nil || conv.lastCols != nil }},
+		{fc, tensor.RandNormal(rng, 0, 1, 3, 4), func() bool { return fc.lastInput != nil }},
+	} {
+		name := tc.layer.Name()
+		grad := tensor.Ones(tc.layer.Forward(tc.x, true).Shape()...)
+		if !tc.cached() {
+			t.Fatalf("%s: training Forward cached nothing", name)
+		}
+		tc.layer.Backward(grad)
+		if tc.cached() {
+			t.Errorf("%s still references its training batch after Backward", name)
+		}
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			tc.layer.Backward(grad)
+			return ""
+		}()
+		if !strings.Contains(msg, "Backward before training Forward") {
+			t.Errorf("%s: second Backward gave %q, want the Backward-before-training-Forward error", name, msg)
+		}
+	}
 }
 
 func TestDenseRejectsBadInput(t *testing.T) {

@@ -44,9 +44,6 @@ func (m *MaxPool2D) OutH() int { return (m.h-m.kh)/m.strideH + 1 }
 // OutW returns the pooled width.
 func (m *MaxPool2D) OutW() int { return (m.w-m.kw)/m.strideW + 1 }
 
-// OutShape returns the per-sample output shape [C, OutH, OutW].
-func (m *MaxPool2D) OutShape() []int { return []int{m.c, m.OutH(), m.OutW()} }
-
 // Forward max-pools each channel plane. A single-sample inference writes
 // into a buffer the layer owns.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {

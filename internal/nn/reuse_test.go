@@ -60,7 +60,7 @@ func TestSingleSampleOutputsSurviveReuse(t *testing.T) {
 			t.Errorf("sample %d: output %v, fresh model %v", i, got, fresh)
 		}
 		for j, v := range got.Data() {
-			if w := batched.At2(i, j); v != w { //lint:allow(floateq) fused batching is documented bit-identical
+			if w := batched.At2(i, j); v != w { //lint:allow(floateq) batched inference is documented bit-identical to single-sample
 				t.Errorf("sample %d logit %d: single %v, batched %v", i, j, v, w)
 			}
 		}

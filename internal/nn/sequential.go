@@ -113,16 +113,6 @@ func (m *Sequential) ParamCount() int64 {
 	return n
 }
 
-// NonZeroParamCount returns the number of trainable scalars that are exactly
-// nonzero — the live parameter count under pruning.
-func (m *Sequential) NonZeroParamCount() int64 {
-	var n int64
-	for _, p := range m.Params() {
-		n += int64(p.Value.CountNonZero())
-	}
-	return n
-}
-
 // Describe returns the cost profile of every compute-bearing layer.
 func (m *Sequential) Describe() []Info {
 	var infos []Info

@@ -3,16 +3,17 @@
 // monitor, the runtime governor, and the reversible model. It is the
 // integration layer every end-to-end experiment runs through.
 //
-// For multi-goroutine deployments, Concurrent serializes detection and
-// level transitions behind one mutex so a frame never observes a
-// half-applied level. Per-frame detection latency (including that lock
-// wait) is observable through the FrameObserver seam, which
-// telemetry.Hooks satisfies; a nil observer is free.
+// A Pipeline is not synchronized. Multi-goroutine deployments serve it
+// through fleet.Instance, which serializes detection and level
+// transitions behind a per-instance lock so a frame never observes a
+// half-applied level, and reports per-frame latency (lock wait included)
+// through the FrameObserver seam.
 package perception
 
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/governor"
@@ -34,6 +35,14 @@ type Detection struct {
 	Uncertainty float64
 }
 
+// FrameObserver receives the end-to-end latency of every Detect call,
+// including time spent waiting for the model lock (a level transition in
+// flight delays frames — that stall is exactly what an operator wants to
+// see). internal/telemetry.Hooks satisfies this interface.
+type FrameObserver interface {
+	ObserveFrame(elapsed time.Duration)
+}
+
 // Pipeline wraps a binary obstacle classifier (input [1, S, S], two output
 // logits: clear/obstacle) for frame-by-frame use.
 type Pipeline struct {
@@ -41,7 +50,6 @@ type Pipeline struct {
 	size      int
 	threshold float64
 	batch     *tensor.Tensor // reusable [1,1,S,S] input
-	batchBuf  *tensor.Tensor // reusable [N,1,S,S] input for batched passes
 
 	// Debouncing (optional): declare an obstacle only when at least
 	// debounceK of the last debounceN raw frame decisions were positive.
@@ -89,13 +97,9 @@ func NewPipeline(model *nn.Sequential, frameSize int, threshold float64) (*Pipel
 	}, nil
 }
 
-// FrameSize returns the sensor patch side length the pipeline was built
-// for; Detect only accepts frames with exactly FrameSize² pixels.
-func (p *Pipeline) FrameSize() int { return p.size }
-
 // Detect classifies one [1, S, S] frame. A frame whose pixel count does
-// not match FrameSize² is rejected with an error — a truncated or garbled
-// sensor read must degrade, not crash the control loop.
+// not match S² is rejected with an error — a truncated or garbled sensor
+// read must degrade, not crash the control loop.
 func (p *Pipeline) Detect(frame *tensor.Tensor) (Detection, error) {
 	if frame == nil {
 		return Detection{}, fmt.Errorf("perception: nil frame")
@@ -109,43 +113,10 @@ func (p *Pipeline) Detect(frame *tensor.Tensor) (Detection, error) {
 	return p.DecideRow(probs, 0), nil
 }
 
-// ProbsBatch stacks the frames into one [N,1,S,S] batch, runs a single
-// fused forward pass, and returns the [N,2] softmax probability matrix —
-// row i belongs to frames[i]. It is the model half of batched detection:
-// it advances no debounce state, so probability rows can be handed to
-// *other* pipelines' DecideRow (the fleet batch planner runs one
-// instance's model for a whole group and lets each member decide its own
-// frame). Frames are validated like Detect validates; the stack buffer is
-// cached per batch size. Callers serialize ProbsBatch against anything
-// else touching this pipeline's model.
-func (p *Pipeline) ProbsBatch(frames []*tensor.Tensor) (*tensor.Tensor, error) {
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("perception: empty batch")
-	}
-	px := p.size * p.size
-	for i, f := range frames {
-		if f == nil {
-			return nil, fmt.Errorf("perception: batch frame %d is nil", i)
-		}
-		if f.Len() != px {
-			return nil, fmt.Errorf("perception: batch frame %d with %d pixels, want %d", i, f.Len(), px)
-		}
-	}
-	buf := p.batch
-	if n := len(frames); n > 1 {
-		if p.batchBuf == nil || p.batchBuf.Dim(0) != n {
-			p.batchBuf = tensor.New(n, 1, p.size, p.size)
-		}
-		buf = p.batchBuf
-	}
-	tensor.StackInto(buf, frames)
-	logits := p.model.Forward(buf, false)
-	return tensor.SoftmaxRows(logits), nil
-}
-
-// DecideRow turns row r of a ProbsBatch probability matrix into this
-// pipeline's Detection: threshold, then the k-of-n debounce vote, which
-// advances by one frame — rows must therefore be consumed in frame order.
+// DecideRow turns row r of a softmax probability matrix ([N,2], column 1
+// is p(obstacle)) into this pipeline's Detection: threshold, then the
+// k-of-n debounce vote, which advances by one frame — rows must therefore
+// be consumed in frame order. Detect calls it on its own one-row output.
 // Callers serialize DecideRow the same way they serialize Detect.
 func (p *Pipeline) DecideRow(probs *tensor.Tensor, r int) Detection {
 	pObstacle := float64(probs.At2(r, 1))
@@ -170,23 +141,6 @@ func (p *Pipeline) DecideRow(probs *tensor.Tensor, r int) Detection {
 		Confidence:  pObstacle,
 		Uncertainty: safety.Entropy(probs.Row(r).Data()),
 	}
-}
-
-// DetectBatch classifies the frames in one fused forward pass and returns
-// per-frame Detections in submission order. It is exactly equivalent to
-// calling Detect on each frame in sequence — same probabilities
-// (bit-identical kernels), same debounce trajectory — just one matmul per
-// layer instead of len(frames).
-func (p *Pipeline) DetectBatch(frames []*tensor.Tensor) ([]Detection, error) {
-	probs, err := p.ProbsBatch(frames)
-	if err != nil {
-		return nil, err
-	}
-	dets := make([]Detection, len(frames))
-	for i := range frames {
-		dets[i] = p.DecideRow(probs, i)
-	}
-	return dets, nil
 }
 
 // LoopConfig parameterizes a closed-loop scenario run.

@@ -357,53 +357,3 @@ func TestDebounceSuppressesSingleFrameFlips(t *testing.T) {
 		t.Error("held after two clear frames")
 	}
 }
-
-// TestConcurrentDetectAndSwitch hammers detection from one goroutine while
-// another cycles pruning levels. Run with -race this validates the
-// Concurrent wrapper's synchronization; in any mode it validates that
-// detections remain well-formed across transitions.
-func TestConcurrentDetectAndSwitch(t *testing.T) {
-	setup(t)
-	m, rm := freshStack(t)
-	pipe, err := NewPipeline(m, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewConcurrent(pipe, rm)
-
-	rng := tensor.NewRNG(77)
-	frame := tensor.FromSlice(dataset.RenderObstaclePatch(true, 16, 4, 0.05, rng), 1, 16, 16)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 300; i++ {
-			if err := c.ApplyLevel(i % rm.NumLevels()); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 300; i++ {
-		det, err := c.Detect(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if det.Confidence < 0 || det.Confidence > 1 {
-			t.Fatalf("malformed confidence %v", det.Confidence)
-		}
-	}
-	<-done
-	if err := c.RestoreFull(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Current() != 0 {
-		t.Errorf("current = %d after restore", c.Current())
-	}
-	if c.Scrub() != 0 {
-		t.Error("scrub at L0 repaired something")
-	}
-	if err := rm.VerifyDense(); err != nil {
-		t.Errorf("concurrent use corrupted weights: %v", err)
-	}
-}

@@ -177,25 +177,12 @@ func (w *World) SetContrast(c float64) { w.contrast = c }
 // controller calls this every tick.
 func (w *World) SetBraking(b bool) { w.braking = b }
 
-// Braking reports whether the ego is braking.
-func (w *World) Braking() bool { return w.braking }
-
 // SpawnActor adds an actor at the given gap ahead of the ego.
 func (w *World) SpawnActor(t ActorType, lane int, gapAhead, speed float64) *Actor {
 	a := &Actor{ID: w.nextID, Type: t, Lane: lane, Pos: w.ego.Pos + gapAhead, Speed: speed}
 	w.nextID++
 	w.actors = append(w.actors, a)
 	return a
-}
-
-// FindActor returns the actor with the given ID, or nil.
-func (w *World) FindActor(id int) *Actor {
-	for _, a := range w.actors {
-		if a.ID == id {
-			return a
-		}
-	}
-	return nil
 }
 
 // Step advances the world one tick: scripted events fire, then dynamics

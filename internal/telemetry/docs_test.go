@@ -51,8 +51,6 @@ func TestMetricsDocCrossCheck(t *testing.T) {
 	h.ObserveTick(1, 0, false, false, false, 10*time.Microsecond)
 	h.ObserveFrame(3 * time.Millisecond)
 	h.ObserveRebalance(2, 1.5, 4.2, true, 8*time.Microsecond)
-	h.ObserveBatch(6, 90*time.Microsecond)
-	h.ObserveBatchFallback(2)
 	h.ObserveStoreCheck(true)
 	h.ObserveStoreCheck(false)
 	h.ObserveStoreResidency(4096, 0.97)

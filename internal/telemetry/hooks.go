@@ -72,24 +72,6 @@ const (
 	MetricFleetOverBudget = "rpn_fleet_over_budget"
 	// MetricFleetRebalanceLatency is the rebalance-pass latency histogram (µs).
 	MetricFleetRebalanceLatency = "rpn_fleet_rebalance_latency_us"
-	// MetricFleetBatches counts fused batched forward passes the dispatcher's
-	// batch planner executed (groups of ≥ 2 frames sharing a checkpoint and
-	// level that ran as one matmul per layer).
-	MetricFleetBatches = "rpn_fleet_batches_total"
-	// MetricFleetBatchFrames counts frames served by fused batched passes;
-	// MetricFrames minus this is the per-instance traffic.
-	MetricFleetBatchFrames = "rpn_fleet_batch_frames_total"
-	// MetricFleetBatchFallbacks counts frames the planner grouped but then
-	// kicked back to the per-instance path at execution time — a level
-	// transition or armed fault injector invalidated the group snapshot, or
-	// the fused pass itself failed.
-	MetricFleetBatchFallbacks = "rpn_fleet_batch_fallbacks_total"
-	// MetricFleetBatchSize is the histogram of fused group sizes (frames per
-	// batched pass).
-	MetricFleetBatchSize = "rpn_fleet_batch_size"
-	// MetricFleetBatchLatency is the fused-pass latency histogram (µs),
-	// covering lock acquisition, the batched forward, and per-frame decides.
-	MetricFleetBatchLatency = "rpn_fleet_batch_latency_us"
 	// MetricFaultInjections counts fault events an injection harness
 	// (internal/fault) actually fired, one series per fault kind (see
 	// LabelFault). Zero outside chaos drills.
@@ -233,11 +215,6 @@ var hookFamilies = []string{
 	MetricFleetLatency,
 	MetricFleetOverBudget,
 	MetricFleetRebalanceLatency,
-	MetricFleetBatches,
-	MetricFleetBatchFrames,
-	MetricFleetBatchFallbacks,
-	MetricFleetBatchSize,
-	MetricFleetBatchLatency,
 	MetricHealthState,
 	MetricHealthTransitions,
 	MetricHealthRestores,
@@ -254,10 +231,9 @@ var hookFamilies = []string{
 // Hooks adapts a Registry to the observer seams of the stack. Its method
 // set structurally satisfies core.TransitionObserver (including the
 // optional core.ParamTransitionObserver and core.StoreObserver
-// extensions), governor.TickObserver,
-// perception.FrameObserver, fleet.RebalanceObserver and
-// fleet.BatchObserver without this package importing any of them, keeping
-// telemetry a stdlib-only leaf.
+// extensions), governor.TickObserver, perception.FrameObserver and
+// fleet.RebalanceObserver without this package importing any of them,
+// keeping telemetry a stdlib-only leaf.
 //
 // A Hooks may carry constant base labels (NewHooks(reg, Label{LabelModel,
 // "car0"})): every series it writes is then rendered with those labels, so
@@ -439,26 +415,6 @@ func (h *Hooks) ObserveRebalance(retargets int, energyMJ, latencyMS float64, ove
 	}
 	h.reg.SetGauge(h.name(MetricFleetOverBudget), over)
 	h.reg.ObserveDuration(h.name(MetricFleetRebalanceLatency), elapsed)
-}
-
-// ObserveBatch implements half of the fleet.BatchObserver seam: called by
-// the dispatcher's batch planner after every fused batched pass with the
-// number of frames it served and the pass's wall-clock latency (lock wait
-// included).
-func (h *Hooks) ObserveBatch(size int, elapsed time.Duration) {
-	h.reg.Inc(h.name(MetricFleetBatches))
-	h.reg.Add(h.name(MetricFleetBatchFrames), int64(size))
-	h.reg.Observe(h.name(MetricFleetBatchSize), float64(size))
-	h.reg.ObserveDuration(h.name(MetricFleetBatchLatency), elapsed)
-}
-
-// ObserveBatchFallback implements the other half of the fleet.BatchObserver
-// seam: called with the number of frames a planning window sent down the
-// per-instance path after they had been grouped — stragglers whose
-// instance transitioned mid-flight, armed-injector members, or a whole
-// group whose fused pass failed.
-func (h *Hooks) ObserveBatchFallback(frames int) {
-	h.reg.Add(h.name(MetricFleetBatchFallbacks), int64(frames))
 }
 
 // ObserveStoreCheck implements half of the core.StoreObserver seam: called

@@ -8,9 +8,10 @@ import "sync"
 // resident in cache while the contraction sweeps p. The contraction loop
 // itself is never tiled — each output element accumulates over p in
 // exactly the serial kernel's order, so MatMulBlocked is bit-identical to
-// MatMul for every input, not merely approximately equal. That guarantee
-// is what lets the fleet batch planner prove fused execution equivalent
-// to the per-instance path with exact comparisons.
+// MatMul for every input, not merely approximately equal, whatever the
+// worker budget. That guarantee is what lets a per-level reference
+// computed on one view of a checkpoint (the benchmark oracle's) be
+// compared bit-for-bit with what any instance serves.
 const (
 	blockRows = 64
 	blockCols = 256

@@ -52,7 +52,7 @@ func TestMatMulBlockedMatchesSerial(t *testing.T) {
 // TestMatMulBlockedParallelAboveThreshold forces the FLOP volume over
 // parallelThreshold with m spanning several row blocks, so the row-block
 // fan-out path actually runs, and requires bit-identity with the serial
-// kernel — the property the fused fleet path depends on.
+// kernel — the property bit-exact per-level references depend on.
 func TestMatMulBlockedParallelAboveThreshold(t *testing.T) {
 	m, k, n := 3*blockRows+7, 128, 160 // 199·128·160 ≈ 4.1M FLOP > 1<<21
 	r := NewRNG(11)

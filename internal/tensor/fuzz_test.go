@@ -7,71 +7,6 @@ import (
 	"testing"
 )
 
-// FuzzStackRoundTrip drives the batch stacking used by the fleet's fused
-// inference path with arbitrary geometry and payload bytes: n frames of
-// stride elements each, stacked into a batch and unstacked again, must
-// reproduce every frame bit-exactly (NaN payloads included — the compare
-// is on raw bits). The fuzzer also probes the panic guards: any geometry
-// the builder below can produce is valid by construction, so a panic here
-// is always a bug.
-func FuzzStackRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint8(1), []byte{0, 0, 0x80, 0x3f})
-	f.Add(uint8(3), uint8(4), make([]byte, 48))
-	f.Add(uint8(16), uint8(9), []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, nRaw, strideRaw uint8, payload []byte) {
-		n := int(nRaw)%16 + 1           // 1..16 frames
-		stride := int(strideRaw)%32 + 1 // 1..32 elements each
-		frames := make([]*Tensor, n)
-		for i := range frames {
-			frames[i] = New(stride)
-			d := frames[i].Data()
-			for j := range d {
-				off := (i*stride + j) * 4
-				var bits uint32
-				for b := 0; b < 4; b++ {
-					bits <<= 8
-					if off+b < len(payload) {
-						bits |= uint32(payload[off+b])
-					}
-				}
-				d[j] = math.Float32frombits(bits)
-			}
-		}
-		batch := Stack(frames)
-		if batch.Dim(0) != n || batch.Len() != n*stride {
-			t.Fatalf("Stack shape %v for %d frames of %d", batch.Shape(), n, stride)
-		}
-		views := Unstack(batch)
-		if len(views) != n {
-			t.Fatalf("Unstack returned %d views for %d frames", len(views), n)
-		}
-		for i, v := range views {
-			vd, fd := v.Data(), frames[i].Data()
-			if len(vd) != len(fd) {
-				t.Fatalf("frame %d: view has %d elements, want %d", i, len(vd), len(fd))
-			}
-			for j := range vd {
-				if math.Float32bits(vd[j]) != math.Float32bits(fd[j]) {
-					t.Fatalf("frame %d element %d: %x != %x",
-						i, j, math.Float32bits(vd[j]), math.Float32bits(fd[j]))
-				}
-			}
-		}
-		// The fleet stacks flat frames into a [n,1,stride] batch through
-		// StackInto: same payload, different dst shape, same round trip.
-		wide := New(n, 1, stride)
-		StackInto(wide, frames)
-		for i := range frames {
-			row := wide.Data()[i*stride : (i+1)*stride]
-			for j, want := range frames[i].Data() {
-				if math.Float32bits(row[j]) != math.Float32bits(want) {
-					t.Fatalf("StackInto frame %d element %d mismatch", i, j)
-				}
-			}
-		}
-	})
-}
-
 // FuzzReadTensor feeds arbitrary bytes to the binary tensor reader.
 // Malformed input must yield an error — never a panic, and never an
 // allocation sized by the header's claim rather than the delivered bytes.

@@ -168,8 +168,8 @@ func matMulRows(out, a, b *Tensor, accumulate bool, lo, hi int) {
 // natural kernel for dense-layer forward passes where weights are stored as
 // (out×in). Large products fan rows out across the SetMatMulWorkers budget;
 // each output row is computed wholly within one goroutine, so results stay
-// bit-identical to the serial kernel — the property the batched fleet path
-// relies on when a fused dense layer runs many frames as one product.
+// bit-identical to the serial kernel, and a row's values do not depend on
+// how many other rows share the product.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, n := checkMatMulShapes("MatMulTransB", a, b, nil, false, true)
 	out := New(m, n)

@@ -16,7 +16,7 @@ import (
 )
 
 // Tensor is a dense, contiguous, row-major float32 array with a shape.
-// The zero value is not usable; construct tensors with New, Zeros, etc.
+// The zero value is not usable; construct tensors with New, FromSlice, etc.
 type Tensor struct {
 	shape []int
 	data  []float32
@@ -40,9 +40,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Zeros returns a tensor of the given shape filled with zeros.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones returns a tensor of the given shape filled with ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
@@ -52,13 +49,6 @@ func Full(v float32, shape ...int) *Tensor {
 	for i := range t.data {
 		t.data[i] = v
 	}
-	return t
-}
-
-// Scalar returns a 0-dimensional tensor holding v.
-func Scalar(v float32) *Tensor {
-	t := New()
-	t.data[0] = v
 	return t
 }
 

@@ -33,20 +33,16 @@
 #                          README.md, DESIGN.md, or a docs page references
 #                          must exist — a renamed chapter fails here, not in
 #                          a reader's 404)
-#  10. fleet throughput  — scripts/bench_fleet.sh: the batched fused
-#                          dispatch path must not be slower than the
-#                          per-instance path at fleet sizes ≥ 8 (best of
-#                          two attempts); writes BENCH_fleet.json
-#  11. fleet memory      — scripts/bench_mem.sh: a 64-wide fleet of
+#  10. fleet memory      — scripts/bench_mem.sh: a 64-wide fleet of
 #                          copy-on-write store views must keep per-instance
 #                          resident bytes ≤ 0.25× the independent-build
 #                          baseline; writes BENCH_mem.json
-#  12. telemetry hot path — scripts/bench_telemetry.sh: the sharded
+#  11. telemetry hot path — scripts/bench_telemetry.sh: the sharded
 #                          registry must beat the seed mutex registry ≥ 4×
 #                          under contended Observe/Incr at 8 goroutines
 #                          (non-regression on hosts too small to express
 #                          contention); writes BENCH_telemetry.json
-#  13. ingest front end   — scripts/bench_ingest.sh: the sheds-before-
+#  12. ingest front end   — scripts/bench_ingest.sh: the sheds-before-
 #                          blocking gate — at a 64-vehicle overload the
 #                          criticality queue must actually shed AND p99
 #                          enqueue latency must stay bounded (a blocking
@@ -110,7 +106,6 @@ echo "==> cmd/rpnbench: go vet + go test (a module of its own)"
 (cd cmd/rpnbench && GOWORK=off go vet . && GOWORK=off go test -count=1 .)
 step go test -race ./internal/core/ ./internal/perception/ ./internal/tensor/ ./internal/governor/ ./internal/metrics/ ./internal/telemetry/ ./internal/telemetry/window/ ./internal/telemetry/otlp/ ./internal/fleet/ ./internal/fault/ ./internal/health/ ./internal/ingest/
 step go test -run '^$' -fuzz FuzzReadTensor -fuzztime 5s ./internal/tensor/
-step go test -run '^$' -fuzz FuzzStackRoundTrip -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzMaskRoundTrip -fuzztime 5s ./internal/prune/
 step go test -run '^$' -fuzz FuzzStoreRoundTrip -fuzztime 5s ./internal/core/
 step go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/telemetry/otlp/
@@ -137,7 +132,6 @@ done < <(grep -oE '\((docs/)?[A-Za-z_]+\.md(#[a-z-]+)?\)' README.md DESIGN.md do
     | awk -F: '$2 ~ /\.md$/ { print $1, $2 }' | sort -u)
 (( docs_ok )) || exit 1
 
-step scripts/bench_fleet.sh
 step scripts/bench_mem.sh
 step scripts/bench_telemetry.sh
 step scripts/bench_ingest.sh
